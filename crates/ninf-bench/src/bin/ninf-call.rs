@@ -14,10 +14,11 @@
 //! `--deadline` bounds every connect/read/write on the wire; a server that
 //! accepts but never replies then fails with a typed timeout instead of
 //! hanging the call. `--retries` re-checks-out with exponential backoff on
-//! retryable (non-remote) errors. Connections come from the process-wide
-//! multiplexed stream pool — every command in one invocation shares a
-//! single connection to the server rather than dialing per call. `--json`
-//! (for `ep` and `linpack`) emits the call's timing decomposition —
+//! retryable (non-remote) errors, the first checkout included. Connections
+//! come from the process-wide multiplexed stream pool — every command in
+//! one invocation shares a single connection to the server rather than
+//! dialing per call.
+//! `--json` (for `ep` and `linpack`) emits the call's timing decomposition —
 //! connect, interface fetch, marshal, server wall time, transfer, total —
 //! plus `stream_reused` (whether the measured call rode an already-open
 //! pooled stream) and the argument-cache accounting — `bytes_sent` on the
@@ -309,22 +310,13 @@ fn call_json(routine: &str, n: i64, flops: Option<u64>, timed: &TimedCall) -> se
 }
 
 /// Check a pooled client out of the process-wide stream pool (dialing only
-/// when no live stream to `addr` exists yet).
+/// when no live stream to `addr` exists yet; a refused dial is retried per
+/// `--retries`).
 fn connect(addr: &str, options: CallOptions) -> NinfClient {
-    let mut attempt = 0u32;
-    loop {
-        match NinfClient::connect_pooled(addr, options, global_pool().clone()) {
-            Ok(client) => return client,
-            Err(e) if attempt < options.retries && e.is_retryable() => {
-                std::thread::sleep(options.backoff_delay(attempt, 0));
-                attempt += 1;
-            }
-            Err(e) => {
-                eprintln!("cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    NinfClient::connect_pooled(addr, options, global_pool().clone()).unwrap_or_else(|e| {
+        eprintln!("cannot connect to {addr}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn parse_num<T: std::str::FromStr>(v: Option<&String>, msg: &str) -> T {

@@ -1,16 +1,19 @@
 //! `NinfClient`: two-stage calls over any transport, with per-connection
-//! interface caching and asynchronous variants.
+//! interface caching, one retry loop that owns every dial, and an
+//! asynchronous form of the call.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ninf_idl::compile::ParamLayout;
 use ninf_idl::CompiledInterface;
 use ninf_obs::recorder;
 use ninf_protocol::{
-    validate_call_args, validate_results, Arg, Message, ProtocolError, ProtocolResult, Span,
-    TcpTransport, TraceContext, Transport, Value,
+    validate_call_args, validate_results, Arg, Digest, Message, ProtocolError, ProtocolResult,
+    Span, TcpTransport, TraceContext, Transport, Value,
 };
 use ninf_reactor::MuxPool;
 
@@ -117,7 +120,8 @@ impl CallOptions {
 /// so `total ≥ connect + interface + marshal + roundtrip`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CallTiming {
-    /// Seconds spent re-dialing the server inside the call (retries only).
+    /// Seconds spent dialing the server inside the call: redials after a
+    /// failed attempt (0 while the connection holds).
     pub connect: f64,
     /// Seconds fetching the compiled interface (stage 1); 0 on a cache hit.
     pub interface: f64,
@@ -169,8 +173,16 @@ fn addr_salt(addr: &str) -> u64 {
 /// RPC-protocols require clients and servers to stay connected", §5.1) and
 /// caches compiled interfaces it has already fetched, so repeated calls to
 /// the same routine skip stage 1.
+///
+/// One retry loop owns the connection: the first dial, every redial after
+/// a failed attempt, and every request run under the client's
+/// [`CallOptions`]. A retryable failure drops the connection (it may be
+/// desynchronized), backs off, and the next attempt dials again — through
+/// the pool for pooled clients, directly otherwise.
 pub struct NinfClient {
-    transport: Box<dyn Transport>,
+    /// The live connection; `None` after a retryable failure tore it down,
+    /// until the retry loop dials again.
+    transport: Option<Box<dyn Transport>>,
     interfaces: HashMap<String, CompiledInterface>,
     /// Remembered dial address; retries reconnect through it. `None` for
     /// clients wrapped around a caller-supplied transport.
@@ -182,12 +194,16 @@ pub struct NinfClient {
     /// Whether the most recent checkout reused an already-open stream.
     stream_reused: bool,
     options: CallOptions,
+    /// Loss-schedule position of the call connection's WAN lane. Every
+    /// shaped connection this client dials draws from it, so a redial
+    /// continues the lane's schedule instead of replaying its first ops.
+    lane_cursor: Arc<AtomicU64>,
     /// Running totals of array payload bytes, for throughput accounting.
     bytes_sent: usize,
     bytes_received: usize,
     /// Segment accumulator for the call in progress.
     timing: CallTiming,
-    /// Completed timing of the most recent `ninf_call`.
+    /// Completed timing of the most recent call.
     last_timing: Option<CallTiming>,
     /// Trace position to parent new calls under (set by a routing layer);
     /// `None` starts fresh root traces.
@@ -204,63 +220,60 @@ pub struct NinfClient {
     last_trace_id: u64,
 }
 
+/// A reply that is not the `expected` one: a remote `Error` surfaces as
+/// [`ProtocolError::Remote`], anything else as a protocol violation.
+fn unexpected<T>(reply: Message, expected: &'static str) -> ProtocolResult<T> {
+    match reply {
+        Message::Error { reason } => Err(ProtocolError::Remote(reason)),
+        other => Err(ProtocolError::UnexpectedMessage {
+            expected,
+            got: other.kind().to_owned(),
+        }),
+    }
+}
+
 impl NinfClient {
     /// Connect over TCP to a live server.
     pub fn connect(addr: &str) -> ProtocolResult<Self> {
         Self::connect_with(addr, CallOptions::default())
     }
 
-    /// Wrap a dialed transport in client-side WAN shaping when the options
-    /// ask for it. Lane id 0 is the call connection; bulk lanes take 1..N
-    /// on the same shared link, so control and bulk traffic contend for
-    /// one emulated bottleneck.
-    fn wrap_wan(
-        addr: &str,
-        options: &CallOptions,
-        transport: Box<dyn Transport>,
-    ) -> Box<dyn Transport> {
-        match options.wan {
-            Some(shape) => Box::new(ninf_protocol::ShapedTransport::new(
-                transport,
-                ninf_protocol::link_for(addr, shape),
-                0,
-            )),
-            None => transport,
-        }
-    }
-
     /// Connect with a reliability policy: the deadline bounds the connect
-    /// itself and every subsequent operation, and calls through this client
-    /// retry per `options`.
+    /// itself and every subsequent operation, and both the connect and
+    /// calls through this client retry per `options` — a server that is
+    /// not up yet is dialed again with backoff.
     pub fn connect_with(addr: &str, options: CallOptions) -> ProtocolResult<Self> {
-        let transport = TcpTransport::connect_with_deadline(addr, options.deadline)?;
-        let mut client = Self::from_transport(Self::wrap_wan(addr, &options, Box::new(transport)));
-        client.addr = Some(addr.to_owned());
-        client.cache_key = Some(addr.to_owned());
-        client.options = options;
-        Ok(client)
+        Self::dial_first(addr, options, None)
     }
 
     /// Connect through a shared [`MuxPool`]: the connection is *checked
     /// out* — an already-open multiplexed stream to `addr` is reused when
     /// one has admission capacity, and a new one is dialed only on a pool
-    /// miss. Retries re-check-out, so after a stream failure the next
-    /// attempt transparently lands on a fresh connection while calls on
-    /// other streams never notice.
+    /// miss. The checkout and every call retry per `options`; a retry
+    /// re-checks-out, so after a stream failure the next attempt
+    /// transparently lands on a fresh connection while calls on other
+    /// streams never notice.
     pub fn connect_pooled(
         addr: &str,
         options: CallOptions,
         pool: Arc<MuxPool>,
     ) -> ProtocolResult<Self> {
-        let checkout = pool.checkout(addr, options.deadline)?;
-        let mut client =
-            Self::from_transport(Self::wrap_wan(addr, &options, Box::new(checkout.handle)));
-        client.transport.set_deadline(options.deadline)?;
+        Self::dial_first(addr, options, Some(pool))
+    }
+
+    /// A client for `addr` whose first connection is made by the retry
+    /// loop, like any later redial.
+    fn dial_first(
+        addr: &str,
+        options: CallOptions,
+        pool: Option<Arc<MuxPool>>,
+    ) -> ProtocolResult<Self> {
+        let mut client = Self::unconnected(None);
         client.addr = Some(addr.to_owned());
         client.cache_key = Some(addr.to_owned());
         client.options = options;
-        client.pool = Some(pool);
-        client.stream_reused = checkout.reused;
+        client.pool = pool;
+        client.with_retries(|_| Ok(()))?;
         Ok(client)
     }
 
@@ -273,6 +286,10 @@ impl NinfClient {
 
     /// Wrap an arbitrary transport (e.g. an in-process channel in tests).
     pub fn from_transport(transport: Box<dyn Transport>) -> Self {
+        Self::unconnected(Some(transport))
+    }
+
+    fn unconnected(transport: Option<Box<dyn Transport>>) -> Self {
         Self {
             transport,
             interfaces: HashMap::new(),
@@ -280,6 +297,7 @@ impl NinfClient {
             pool: None,
             stream_reused: false,
             options: CallOptions::default(),
+            lane_cursor: Arc::default(),
             bytes_sent: 0,
             bytes_received: 0,
             timing: CallTiming::default(),
@@ -292,8 +310,9 @@ impl NinfClient {
         }
     }
 
-    /// Timing decomposition of the most recent [`NinfClient::ninf_call`]
-    /// (successful or not); `None` before the first call.
+    /// Timing decomposition of the most recent [`NinfClient::ninf_call`] or
+    /// [`NinfClient::submit_job`] (successful or not); `None` before the
+    /// first.
     pub fn last_timing(&self) -> Option<CallTiming> {
         self.last_timing
     }
@@ -384,6 +403,34 @@ impl NinfClient {
             && self.cache_key.is_some()
     }
 
+    /// Upload one value image as chunks over the parallel bulk streams and
+    /// account for it. Only a completed upload is remembered as held by
+    /// the destination; returns whether it completed.
+    fn bulk_upload(&mut self, digest: Digest, image: &[u8]) -> bool {
+        let o = self.options;
+        let (Some(addr), Some(key)) = (&self.addr, &self.cache_key) else {
+            return false;
+        };
+        let lane_deadline = o.lane_deadline.or(o.deadline);
+        let Ok(report) = crate::bulk::parallel_put(
+            addr,
+            digest,
+            image,
+            o.streams,
+            o.chunk_bytes,
+            lane_deadline,
+            o.wan,
+        ) else {
+            return false;
+        };
+        argmem::remember(key, digest);
+        self.bytes_sent += report.bytes as usize;
+        self.timing.bulk_bytes += report.bytes as usize;
+        self.timing.bulk_retransmits += report.retransmits;
+        self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
+        true
+    }
+
     /// Pre-ship large arguments this destination does not hold yet as
     /// chunks over parallel bulk streams, so `encode_args` refs them and
     /// the Invoke itself stays small. A failed upload is absorbed: the
@@ -393,38 +440,18 @@ impl NinfClient {
         if !self.bulk_enabled() {
             return;
         }
-        let (addr, key) = (self.addr.clone().unwrap(), self.cache_key.clone().unwrap());
-        for v in values {
-            if !ninf_protocol::cacheable(v) {
-                continue;
-            }
+        for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
             let image = ninf_protocol::value_image(v);
             if image.len() < ninf_protocol::CHUNK_THRESHOLD {
                 continue;
             }
-            let digest = ninf_protocol::Digest::of(&image);
-            if argmem::knows(&key, &digest) {
-                continue;
-            }
-            match crate::bulk::parallel_put(
-                &addr,
-                digest,
-                &image,
-                self.options.streams,
-                self.options.chunk_bytes,
-                self.options.lane_deadline.or(self.options.deadline),
-                self.options.wan,
-            ) {
-                Ok(report) => {
-                    argmem::remember(&key, digest);
-                    self.bytes_sent += report.bytes as usize;
-                    self.timing.bulk_bytes += report.bytes as usize;
-                    self.timing.bulk_retransmits += report.retransmits;
-                    self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
-                }
-                Err(_) => {
-                    // Fall through: encode_args will ship it inline.
-                }
+            let digest = Digest::of(&image);
+            let held = self
+                .cache_key
+                .as_deref()
+                .is_some_and(|key| argmem::knows(key, &digest));
+            if !held {
+                self.bulk_upload(digest, &image);
             }
         }
     }
@@ -432,40 +459,37 @@ impl NinfClient {
     /// Refill the digests a `NeedArg` named over the parallel bulk lanes.
     /// Returns `true` only if every named value landed (and was
     /// remembered), so the ref'd request can simply be replayed.
-    fn bulk_refill(&mut self, values: &[Value], digests: &[ninf_protocol::Digest]) -> bool {
-        if !self.bulk_enabled() {
-            return false;
-        }
-        let (addr, key) = (self.addr.clone().unwrap(), self.cache_key.clone().unwrap());
-        for wanted in digests {
-            let Some(image) = values
-                .iter()
-                .filter(|v| ninf_protocol::cacheable(v))
-                .map(ninf_protocol::value_image)
-                .find(|image| ninf_protocol::Digest::of(image) == *wanted)
-            else {
-                return false;
-            };
-            match crate::bulk::parallel_put(
-                &addr,
-                *wanted,
-                &image,
-                self.options.streams,
-                self.options.chunk_bytes,
-                self.options.lane_deadline.or(self.options.deadline),
-                self.options.wan,
-            ) {
-                Ok(report) => {
-                    argmem::remember(&key, *wanted);
-                    self.bytes_sent += report.bytes as usize;
-                    self.timing.bulk_bytes += report.bytes as usize;
-                    self.timing.bulk_retransmits += report.retransmits;
-                    self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
-                }
-                Err(_) => return false,
-            }
-        }
-        true
+    fn bulk_refill(&mut self, values: &[Value], digests: &[Digest]) -> bool {
+        self.bulk_enabled()
+            && digests.iter().all(|wanted| {
+                values
+                    .iter()
+                    .filter(|v| ninf_protocol::cacheable(v))
+                    .map(ninf_protocol::value_image)
+                    .find(|image| Digest::of(image) == *wanted)
+                    .is_some_and(|image| self.bulk_upload(*wanted, &image))
+            })
+    }
+
+    /// The live connection. Inside the retry loop it is always there: the
+    /// loop dials before an attempt that finds it torn down.
+    fn conn(&mut self) -> ProtocolResult<&mut (dyn Transport + 'static)> {
+        self.transport
+            .as_deref_mut()
+            .ok_or(ProtocolError::Disconnected)
+    }
+
+    /// Send one message and receive its reply, no retries.
+    fn exchange(&mut self, msg: &Message) -> ProtocolResult<Message> {
+        let conn = self.conn()?;
+        conn.send(msg)?;
+        conn.recv()
+    }
+
+    /// [`NinfClient::exchange`] under the retry policy: the public
+    /// single-message queries.
+    fn request(&mut self, msg: &Message) -> ProtocolResult<Message> {
+        self.with_retries(|c| c.exchange(msg))
     }
 
     /// Ship one request whose argument list may contain content refs, and
@@ -489,8 +513,7 @@ impl NinfClient {
         self.timing.request_bytes = shipped;
         self.timing.args_refd = refs;
         self.timing.args_refilled = 0;
-        self.transport.send(&build(args))?;
-        let reply = self.transport.recv()?;
+        let reply = self.exchange(&build(args))?;
         let Message::NeedArg { digests } = reply else {
             return Ok(reply);
         };
@@ -504,8 +527,7 @@ impl NinfClient {
             // request unchanged. A second NeedArg (the server evicted
             // again already) falls through to the inline path below.
             let (args, _, _) = self.encode_args(values);
-            self.transport.send(&build(args))?;
-            let reply = self.transport.recv()?;
+            let reply = self.exchange(&build(args))?;
             let Message::NeedArg { digests } = reply else {
                 return Ok(reply);
             };
@@ -515,7 +537,7 @@ impl NinfClient {
         }
         self.bytes_sent += payload_bytes;
         self.timing.request_bytes += payload_bytes;
-        self.transport.send(&build(Arg::inline(values.to_vec())))?;
+        self.conn()?.send(&build(Arg::inline(values.to_vec())))?;
         // The refill re-primes the server's store, so remember what it now
         // holds and the next call refs again.
         if let Some(key) = self.cache_key.as_deref() {
@@ -523,21 +545,26 @@ impl NinfClient {
                 argmem::remember(key, ninf_protocol::digest_value(v));
             }
         }
-        self.transport.recv()
+        self.conn()?.recv()
     }
 
     /// Replace the reliability policy, re-arming the transport deadline.
     pub fn set_options(&mut self, options: CallOptions) -> ProtocolResult<()> {
-        self.transport.set_deadline(options.deadline)?;
+        if let Some(conn) = self.transport.as_deref_mut() {
+            conn.set_deadline(options.deadline)?;
+        }
         self.options = options;
         Ok(())
     }
 
-    /// Tear down the connection and reach the remembered address again —
-    /// through the pool (re-checkout; dead streams were evicted) for pooled
-    /// clients, by redialing for direct ones. Fails for transport-wrapping
-    /// clients, which have no address.
-    fn reconnect(&mut self) -> ProtocolResult<()> {
+    /// Reach the remembered address — a pool checkout for pooled clients
+    /// (dead streams were evicted), a fresh dial for direct ones — wrapped
+    /// in WAN shaping when the options ask for it. The shaped call
+    /// connection is lane 0 of the destination's shared link; bulk lanes
+    /// take 1..N on the same link, so control and bulk traffic contend for
+    /// one emulated bottleneck. Fails for transport-wrapping clients, which
+    /// have no address.
+    fn dial(&mut self) -> ProtocolResult<()> {
         let addr = self.addr.clone().ok_or(ProtocolError::Disconnected)?;
         let t0 = Instant::now();
         let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
@@ -556,36 +583,46 @@ impl NinfClient {
                     .with_detail(format!("addr={addr}")),
             );
         }
-        self.transport = Self::wrap_wan(&addr, &self.options, dialed?);
-        self.transport.set_deadline(self.options.deadline)?;
+        let mut transport = dialed?;
+        if let Some(shape) = self.options.wan {
+            transport = Box::new(ninf_protocol::ShapedTransport::continuing(
+                transport,
+                ninf_protocol::link_for(&addr, shape),
+                0,
+                self.lane_cursor.clone(),
+            ));
+        }
+        transport.set_deadline(self.options.deadline)?;
+        self.transport = Some(transport);
         Ok(())
     }
 
-    /// Run `op` under the retry policy: a retryable failure tears the
-    /// connection down, backs off, reconnects, and tries again. Without a
-    /// remembered address the first error is final.
+    /// Run `op` under the retry policy. An attempt that finds the
+    /// connection torn down dials first; a retryable failure (of the dial
+    /// or of `op`) tears the connection down and, while retries remain,
+    /// backs off and tries again. Without a remembered address the first
+    /// error is final and the connection is kept.
     fn with_retries<R>(
         &mut self,
         op: impl Fn(&mut Self) -> ProtocolResult<R>,
     ) -> ProtocolResult<R> {
         let mut attempt = 0u32;
         loop {
-            match op(self) {
+            let outcome = match self.transport {
+                Some(_) => op(self),
+                None => self.dial().and_then(|()| op(self)),
+            };
+            match outcome {
                 Ok(v) => return Ok(v),
-                Err(e)
-                    if e.is_retryable()
-                        && attempt < self.options.retries
-                        && self.addr.is_some() =>
-                {
+                Err(e) if e.is_retryable() && self.addr.is_some() => {
+                    // A failed connection may be desynchronized (a late
+                    // reply can still arrive on it): never reuse it.
+                    self.transport = None;
+                    if attempt >= self.options.retries {
+                        return Err(e);
+                    }
                     let salt = self.addr.as_deref().map(addr_salt).unwrap_or(0);
                     std::thread::sleep(self.options.backoff_delay(attempt, salt));
-                    // A failed reconnect consumes this attempt; the loop
-                    // decides whether more remain.
-                    if let Err(rec) = self.reconnect() {
-                        if attempt + 1 >= self.options.retries {
-                            return Err(rec);
-                        }
-                    }
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -605,27 +642,29 @@ impl NinfClient {
 
     /// Stage 1: fetch (or reuse) the compiled interface for `routine`.
     pub fn query_interface(&mut self, routine: &str) -> ProtocolResult<&CompiledInterface> {
-        if !self.interfaces.contains_key(routine) {
-            let t0 = Instant::now();
-            self.transport.send(&Message::QueryInterface {
-                routine: routine.to_owned(),
-            })?;
-            let reply = self.transport.recv();
-            self.timing.interface += t0.elapsed().as_secs_f64();
-            match reply? {
-                Message::InterfaceReply { interface } => {
-                    self.interfaces.insert(routine.to_owned(), interface);
-                }
-                Message::Error { reason } => return Err(ProtocolError::Remote(reason)),
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        expected: "InterfaceReply",
-                        got: other.kind().to_owned(),
-                    })
-                }
-            }
-        }
+        self.with_retries(|c| c.fetch_interface(routine).map(drop))?;
         Ok(&self.interfaces[routine])
+    }
+
+    /// [`NinfClient::query_interface`] without retries: the stage-1 step
+    /// of one call attempt.
+    fn fetch_interface(&mut self, routine: &str) -> ProtocolResult<CompiledInterface> {
+        if let Some(interface) = self.interfaces.get(routine) {
+            return Ok(interface.clone());
+        }
+        let t0 = Instant::now();
+        let reply = self.exchange(&Message::QueryInterface {
+            routine: routine.to_owned(),
+        });
+        self.timing.interface += t0.elapsed().as_secs_f64();
+        match reply? {
+            Message::InterfaceReply { interface } => {
+                self.interfaces
+                    .insert(routine.to_owned(), interface.clone());
+                Ok(interface)
+            }
+            other => unexpected(other, "InterfaceReply"),
+        }
     }
 
     /// `Ninf_call`: the blocking two-stage remote call.
@@ -639,35 +678,81 @@ impl NinfClient {
     /// deadline-bounded, and retryable failures redial with backoff (see
     /// [`NinfClient::connect_with`]).
     pub fn ninf_call(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
+        self.traced_call("call", routine, |c| {
+            let (reply, interface, layout) =
+                c.send_call(routine, args, |routine, args, trace| Message::Invoke {
+                    routine,
+                    args,
+                    trace,
+                })?;
+            let Message::ResultData { results } = reply else {
+                return unexpected(reply, "ResultData");
+            };
+            validate_results(&interface, &layout, &results).map_err(ProtocolError::Remote)?;
+            let reply_bytes = ninf_protocol::reply_payload_bytes(&layout);
+            c.bytes_received += reply_bytes;
+            c.timing.reply_bytes = reply_bytes;
+            Ok(results)
+        })
+    }
+
+    /// `Ninf_call_async` (§2.2): run [`NinfClient::ninf_call`] on its own
+    /// thread, consuming the client, and join it later with
+    /// [`AsyncCall::wait`]. Outstanding calls overlap when each has its own
+    /// client; pooled clients still share the pool's streams.
+    pub fn ninf_call_async(mut self, routine: &str, args: Vec<Value>) -> AsyncCall {
+        let routine = routine.to_owned();
+        AsyncCall {
+            handle: std::thread::spawn(move || self.ninf_call(&routine, &args)),
+        }
+    }
+
+    /// One traced call under the retry policy: a fresh timing record, one
+    /// span named `span` over every attempt, and `once` run per attempt.
+    fn traced_call<R>(
+        &mut self,
+        span: &str,
+        routine: &str,
+        once: impl Fn(&mut Self) -> ProtocolResult<R>,
+    ) -> ProtocolResult<R> {
         self.timing = CallTiming::default();
         self.call_ctx = self.mint_ctx();
         let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
         let t0 = Instant::now();
         let out = self.with_retries(|c| {
             c.timing.attempts += 1;
-            c.ninf_call_once(routine, args)
+            once(c)
         });
         self.timing.total = t0.elapsed().as_secs_f64();
         self.last_timing = Some(self.timing);
         if let (Some(ctx), Some(start)) = (self.call_ctx, start_us) {
             self.last_trace_id = ctx.trace_id;
-            recorder::global().record(
-                Span::at(ctx, "call", &self.trace_process, start).with_detail(format!(
+            recorder::global().record(Span::at(ctx, span, &self.trace_process, start).with_detail(
+                format!(
                     "routine={routine} attempts={} ok={}",
                     self.timing.attempts,
                     out.is_ok()
-                )),
-            );
+                ),
+            ));
         }
         out
     }
 
-    /// One two-stage call attempt, no retries.
-    fn ninf_call_once(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
+    /// The steps one call attempt shares with a job submission: fetch (or
+    /// reuse) the interface, validate the arguments against it, pre-ship
+    /// large ones over the bulk lanes, then send the request `build` makes
+    /// and absorb `NeedArg` refills. Returns the reply, plus the interface
+    /// and layout that check it.
+    fn send_call(
+        &mut self,
+        routine: &str,
+        args: &[Value],
+        build: impl Fn(String, Vec<Arg>, Option<TraceContext>) -> Message,
+    ) -> ProtocolResult<(Message, CompiledInterface, Vec<ParamLayout>)> {
         let ctx = self.call_ctx;
         let cache_miss = !self.interfaces.contains_key(routine);
         let iface_start_us = (ctx.is_some() && cache_miss).then(ninf_obs::now_us);
-        let interface = self.query_interface(routine)?.clone();
+        let interface = self.fetch_interface(routine)?;
         if let (Some(ctx), Some(start)) = (ctx, iface_start_us) {
             recorder::global().record(
                 Span::at(ctx.child(), "interface", &self.trace_process, start)
@@ -690,11 +775,8 @@ impl NinfClient {
         let rpc_ctx = ctx.map(|c| c.child());
         let rpc_start_us = rpc_ctx.map(|_| ninf_obs::now_us());
         let t_wire = Instant::now();
-        let routine_name = routine.to_owned();
-        let reply = self.send_with_refill(args, payload_bytes, &move |wire_args| Message::Invoke {
-            routine: routine_name.clone(),
-            args: wire_args,
-            trace: rpc_ctx,
+        let reply = self.send_with_refill(args, payload_bytes, &|wire_args| {
+            build(routine.to_owned(), wire_args, rpc_ctx)
         });
         self.timing.roundtrip += t_wire.elapsed().as_secs_f64();
         if let (Some(rpc), Some(start)) = (rpc_ctx, rpc_start_us) {
@@ -705,20 +787,7 @@ impl NinfClient {
                 )),
             );
         }
-        match reply? {
-            Message::ResultData { results } => {
-                validate_results(&interface, &layout, &results).map_err(ProtocolError::Remote)?;
-                let reply_bytes = ninf_protocol::reply_payload_bytes(&layout);
-                self.bytes_received += reply_bytes;
-                self.timing.reply_bytes = reply_bytes;
-                Ok(results)
-            }
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "ResultData",
-                got: other.kind().to_owned(),
-            }),
-        }
+        Ok((reply?, interface, layout))
     }
 
     /// Two-phase call, phase 1 (§5.1): validate and ship the arguments,
@@ -730,53 +799,25 @@ impl NinfClient {
     /// a retried submission whose first ticket was lost in flight may leave
     /// an orphan job on the server whose result is simply never fetched.
     pub fn submit_job(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<u64> {
-        self.call_ctx = self.mint_ctx();
-        let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
-        let out = self.with_retries(|c| c.submit_job_once(routine, args));
-        if let (Some(ctx), Some(start)) = (self.call_ctx, start_us) {
-            self.last_trace_id = ctx.trace_id;
-            recorder::global().record(
-                Span::at(ctx, "submit", &self.trace_process, start)
-                    .with_detail(format!("routine={routine} ok={}", out.is_ok())),
-            );
-        }
-        out
-    }
-
-    /// One submission attempt, no retries.
-    fn submit_job_once(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<u64> {
-        let interface = self.query_interface(routine)?.clone();
-        let layout = validate_call_args(&interface, args).map_err(ProtocolError::Remote)?;
-        let payload_bytes = ninf_protocol::request_payload_bytes(&layout);
-        self.bulk_preship(args);
-        let trace = self.call_ctx;
-        let routine_name = routine.to_owned();
-        let reply =
-            self.send_with_refill(args, payload_bytes, &move |wire_args| Message::SubmitJob {
-                routine: routine_name.clone(),
-                args: wire_args,
-                trace,
-            })?;
-        match reply {
-            Message::JobTicket { job } => Ok(job),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "JobTicket",
-                got: other.kind().to_owned(),
-            }),
-        }
+        self.traced_call("submit", routine, |c| {
+            let (reply, _, _) =
+                c.send_call(routine, args, |routine, args, trace| Message::SubmitJob {
+                    routine,
+                    args,
+                    trace,
+                })?;
+            match reply {
+                Message::JobTicket { job } => Ok(job),
+                other => unexpected(other, "JobTicket"),
+            }
+        })
     }
 
     /// Poll a two-phase ticket.
     pub fn poll_job(&mut self, job: u64) -> ProtocolResult<ninf_protocol::JobPhase> {
-        self.transport.send(&Message::PollJob { job })?;
-        match self.transport.recv()? {
+        match self.request(&Message::PollJob { job })? {
             Message::JobStatus { job: j, state } if j == job => Ok(state),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "JobStatus",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "JobStatus"),
         }
     }
 
@@ -799,15 +840,9 @@ impl NinfClient {
             None
         };
         let start_us = ctx.map(|_| ninf_obs::now_us());
-        self.transport
-            .send(&Message::FetchResult { job, trace: ctx })?;
-        let out = match self.transport.recv()? {
+        let out = match self.request(&Message::FetchResult { job, trace: ctx })? {
             Message::ResultData { results } => Ok(results),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "ResultData",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "ResultData"),
         };
         if let (Some(ctx), Some(start)) = (ctx, start_us) {
             self.last_trace_id = ctx.trace_id;
@@ -821,14 +856,9 @@ impl NinfClient {
 
     /// List the routines the server exports, with their documentation.
     pub fn list_routines(&mut self) -> ProtocolResult<Vec<(String, String)>> {
-        self.transport.send(&Message::ListRoutines)?;
-        match self.transport.recv()? {
+        match self.request(&Message::ListRoutines)? {
             Message::RoutineList { routines } => Ok(routines),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "RoutineList",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "RoutineList"),
         }
     }
 
@@ -840,18 +870,13 @@ impl NinfClient {
         &mut self,
         since: u64,
     ) -> ProtocolResult<(f64, u64, Vec<ninf_protocol::CallStat>)> {
-        self.transport.send(&Message::QueryStats { since })?;
-        match self.transport.recv()? {
+        match self.request(&Message::QueryStats { since })? {
             Message::StatsReply {
                 now,
                 total,
                 records,
             } => Ok((now, total, records)),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "StatsReply",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "StatsReply"),
         }
     }
 
@@ -865,8 +890,7 @@ impl NinfClient {
         &mut self,
         since: u64,
     ) -> ProtocolResult<(String, ninf_protocol::WindowsSnapshot)> {
-        self.transport.send(&Message::QueryMetrics { since })?;
-        match self.transport.recv()? {
+        match self.request(&Message::QueryMetrics { since })? {
             Message::MetricsReply {
                 process,
                 now,
@@ -884,11 +908,7 @@ impl NinfClient {
                     frames,
                 },
             )),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "MetricsReply",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "MetricsReply"),
         }
     }
 
@@ -896,31 +916,21 @@ impl NinfClient {
     /// dropped by its ring, retained spans)`. `trace_id` 0 fetches every
     /// retained span.
     pub fn query_trace(&mut self, trace_id: u64) -> ProtocolResult<(String, u64, Vec<Span>)> {
-        self.transport.send(&Message::QueryTrace { trace_id })?;
-        match self.transport.recv()? {
+        match self.request(&Message::QueryTrace { trace_id })? {
             Message::TraceReply {
                 process,
                 dropped,
                 spans,
             } => Ok((process, dropped, spans)),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "TraceReply",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "TraceReply"),
         }
     }
 
     /// Query the server's load (what the metaserver's monitor does).
     pub fn query_load(&mut self) -> ProtocolResult<ninf_protocol::LoadReport> {
-        self.transport.send(&Message::QueryLoad)?;
-        match self.transport.recv()? {
+        match self.request(&Message::QueryLoad)? {
             Message::LoadStatus(r) => Ok(r),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "LoadStatus",
-                got: other.kind().to_owned(),
-            }),
+            other => unexpected(other, "LoadStatus"),
         }
     }
 }
@@ -1026,180 +1036,6 @@ pub fn call_two_phase(
             }
         }
     }
-}
-
-/// One-shot `Ninf_call` under a reliability policy: every attempt dials a
-/// fresh connection (so a hung previous attempt cannot poison this one),
-/// bounded by `options.deadline` and retried per `options.retries` with
-/// exponential, jittered backoff.
-pub fn call_with_options(
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-) -> ProtocolResult<Vec<Value>> {
-    call_with_options_traced(addr, routine, args, options, None, "client")
-}
-
-/// [`call_with_options`] with an explicit trace position: each attempt's
-/// spans parent under `parent` (or start a fresh root trace) and carry the
-/// `process` label — the hook a routing layer uses to keep its forwarded
-/// legs inside the caller's trace.
-pub fn call_with_options_traced(
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> ProtocolResult<Vec<Value>> {
-    let mut attempt = 0u32;
-    loop {
-        // One span per attempt: the leg's interface/marshal/rpc spans
-        // parent under this "call" span, which in turn parents under the
-        // routing layer's position (or roots a fresh trace).
-        let ctx = recorder::global().enabled().then(|| match parent {
-            Some(p) => p.child(),
-            None => TraceContext::root(),
-        });
-        let start_us = ctx.map(|_| ninf_obs::now_us());
-        let outcome = NinfClient::connect_with(
-            addr,
-            CallOptions {
-                retries: 0,
-                ..options
-            },
-        )
-        .and_then(|mut client| {
-            client.trace_parent = parent;
-            client.trace_process = process.to_string();
-            client.call_ctx = ctx;
-            client.ninf_call_once(routine, args)
-        });
-        if let (Some(ctx), Some(start)) = (ctx, start_us) {
-            recorder::global().record(Span::at(ctx, "call", process, start).with_detail(format!(
-                "routine={routine} attempt={attempt} ok={}",
-                outcome.is_ok()
-            )));
-        }
-        match outcome {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < options.retries => {
-                std::thread::sleep(options.backoff_delay(attempt, addr_salt(addr)));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`call_with_options_traced`] over a shared [`MuxPool`]: every attempt
-/// *checks out* a multiplexed stream from `pool` instead of dialing fresh,
-/// so concurrent calls to one server share connections. A stream failure
-/// poisons only that stream and fails exactly the calls in flight on it as
-/// retryable; the retry re-checks-out onto a live or freshly dialed stream.
-pub fn call_pooled_traced(
-    pool: &Arc<MuxPool>,
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> ProtocolResult<Vec<Value>> {
-    let mut attempt = 0u32;
-    loop {
-        let ctx = recorder::global().enabled().then(|| match parent {
-            Some(p) => p.child(),
-            None => TraceContext::root(),
-        });
-        let start_us = ctx.map(|_| ninf_obs::now_us());
-        let outcome = NinfClient::connect_pooled(
-            addr,
-            CallOptions {
-                retries: 0,
-                ..options
-            },
-            pool.clone(),
-        )
-        .and_then(|mut client| {
-            client.trace_parent = parent;
-            client.trace_process = process.to_string();
-            client.call_ctx = ctx;
-            client.ninf_call_once(routine, args)
-        });
-        if let (Some(ctx), Some(start)) = (ctx, start_us) {
-            recorder::global().record(Span::at(ctx, "call", process, start).with_detail(format!(
-                "routine={routine} attempt={attempt} ok={}",
-                outcome.is_ok()
-            )));
-        }
-        match outcome {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < options.retries => {
-                std::thread::sleep(options.backoff_delay(attempt, addr_salt(addr)));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`call_async_traced`] over a shared pool: the worker thread checks its
-/// stream out of `pool` (see [`call_pooled_traced`]) — how the metaserver
-/// fans a transaction out without one dial per call.
-pub fn call_async_pooled(
-    pool: Arc<MuxPool>,
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> AsyncCall {
-    let process = process.to_string();
-    let handle = std::thread::spawn(move || {
-        call_pooled_traced(&pool, &addr, &routine, &args, options, parent, &process)
-    });
-    AsyncCall { handle }
-}
-
-/// `Ninf_call_async`: run one call on its own connection and thread.
-///
-/// Each async call opens a fresh connection so multiple outstanding calls
-/// do not serialize on one socket — exactly how the metaserver fans
-/// transaction calls out to servers.
-pub fn call_async(addr: String, routine: String, args: Vec<Value>) -> AsyncCall {
-    call_async_with(addr, routine, args, CallOptions::default())
-}
-
-/// [`call_async`] under a reliability policy; the deadline and retries
-/// apply inside the worker thread, so `wait` returns a typed
-/// [`ProtocolError::Timeout`] instead of blocking on a silent server.
-pub fn call_async_with(
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-) -> AsyncCall {
-    call_async_traced(addr, routine, args, options, None, "client")
-}
-
-/// [`call_async_with`] with an explicit trace position (see
-/// [`call_with_options_traced`]).
-pub fn call_async_traced(
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> AsyncCall {
-    let process = process.to_string();
-    let handle = std::thread::spawn(move || {
-        call_with_options_traced(&addr, &routine, &args, options, parent, &process)
-    });
-    AsyncCall { handle }
 }
 
 #[cfg(test)]

@@ -25,10 +25,14 @@
 //!
 //! There is no client-side stub, header, or IDL file: the first stage of the
 //! call fetches the compiled interface from the server and interprets it to
-//! size and marshal every argument (§2.3). Also provided:
+//! size and marshal every argument (§2.3). [`NinfClient::ninf_call`] is the
+//! one blocking call: its retry loop owns the first dial, every redial
+//! (direct, or a re-checkout from a [`ninf_reactor::MuxPool`] for clients
+//! made with [`NinfClient::connect_pooled`]) and the call's trace spans,
+//! all under the client's [`CallOptions`]. Also provided:
 //!
-//! * [`call_async`] — `Ninf_call_async`: fire a call on its own connection
-//!   and join it later;
+//! * [`NinfClient::ninf_call_async`] — `Ninf_call_async`: run the call on
+//!   its own thread and join it later with [`AsyncCall::wait`];
 //! * [`transaction`] — `Ninf_transaction_begin/end`: record a block of calls,
 //!   derive the data-dependency DAG, and hand it to a scheduler (the
 //!   metaserver executes independent calls task-parallel, §2.4 / §4.3.1).
@@ -40,8 +44,7 @@ pub mod transaction;
 
 pub use bulk::{parallel_put, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
-    call_async, call_async_pooled, call_async_traced, call_async_with, call_pooled_traced,
-    call_two_phase, call_with_options, call_with_options_traced, ninf_call_url, parse_ninf_url,
-    AsyncCall, CallOptions, CallTiming, LocalTxError, NinfClient,
+    call_two_phase, ninf_call_url, parse_ninf_url, AsyncCall, CallOptions, CallTiming,
+    LocalTxError, NinfClient,
 };
 pub use transaction::{execute_locally, PlannedCall, SlotId, Transaction, TxArg};

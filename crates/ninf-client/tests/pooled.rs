@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ninf_client::{call_async_pooled, CallOptions, NinfClient};
+use ninf_client::{CallOptions, NinfClient};
 use ninf_protocol::Value;
 use ninf_reactor::{MuxPool, PoolConfig};
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
@@ -77,15 +77,9 @@ fn pooled_async_calls_complete_concurrently() {
 
     let calls: Vec<_> = (0..6)
         .map(|_| {
-            call_async_pooled(
-                pool.clone(),
-                addr.clone(),
-                "ep".into(),
-                vec![Value::Int(4)],
-                opts(),
-                None,
-                "client",
-            )
+            NinfClient::connect_pooled(&addr, opts(), pool.clone())
+                .unwrap()
+                .ninf_call_async("ep", vec![Value::Int(4)])
         })
         .collect();
     for call in calls {

@@ -3,7 +3,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ninf_client::{call_async_pooled, AsyncCall, CallOptions, PlannedCall, Transaction, TxArg};
+use ninf_client::{AsyncCall, CallOptions, NinfClient, PlannedCall, Transaction, TxArg};
 use ninf_obs::{recorder, Counter, MetricsRegistry, Span};
 use ninf_protocol::{ProtocolError, ProtocolResult, TraceContext, Value};
 use ninf_reactor::{MuxPool, PoolConfig};
@@ -92,6 +92,23 @@ impl Metaserver {
         self.options
     }
 
+    /// A pooled client for one forwarded leg to `addr`, under the routed
+    /// call options, its spans parented under `parent` and labelled as the
+    /// metaserver's.
+    fn leg(&self, addr: &str, parent: Option<TraceContext>) -> ProtocolResult<NinfClient> {
+        let mut client = NinfClient::connect_pooled(addr, self.options, self.pool.clone())?;
+        client.set_trace_parent(parent);
+        client.set_trace_process("metaserver");
+        Ok(client)
+    }
+
+    /// Start one transaction call on `addr` without waiting for it. A
+    /// failed checkout is the call's outcome, like any later failure.
+    fn launch(&self, addr: &str, routine: &str, args: Vec<Value>) -> ProtocolResult<AsyncCall> {
+        self.leg(addr, None)
+            .map(|client| client.ninf_call_async(routine, args))
+    }
+
     /// Pick a server for a call with the given cost estimate, probing the
     /// current loads of the non-quarantined part of the fleet.
     pub fn choose_server(&self, est: CallEstimate) -> usize {
@@ -157,16 +174,9 @@ impl Metaserver {
                     .with_detail(format!("server={idx} addr={addr}")),
             );
         }
-        let outcome = call_async_pooled(
-            self.pool.clone(),
-            addr,
-            routine.to_owned(),
-            args.to_vec(),
-            self.options,
-            ctx,
-            "metaserver",
-        )
-        .wait();
+        let outcome = self
+            .leg(&addr, ctx)
+            .and_then(|mut client| client.ninf_call(routine, args));
         self.routed.inc();
         match &outcome {
             Ok(_) => self.directory.record_success(idx),
@@ -212,8 +222,10 @@ impl Metaserver {
 
         for level in levels {
             // Launch every call in this level concurrently, each on its own
-            // connection (this is exactly the §4.3.1 EP fan-out).
-            let mut in_flight: Vec<(usize, AsyncCall)> = Vec::with_capacity(level.len());
+            // client and thread over the pooled streams (this is exactly the
+            // §4.3.1 EP fan-out).
+            let mut in_flight: Vec<(usize, ProtocolResult<AsyncCall>)> =
+                Vec::with_capacity(level.len());
             for &call_idx in &level {
                 let call = &tx.calls()[call_idx];
                 let args = resolve_args(call, &slots)?;
@@ -223,21 +235,10 @@ impl Metaserver {
                     flops: bytes * 100.0,
                 });
                 let addr = self.directory.entries()[sidx].addr.clone();
-                in_flight.push((
-                    call_idx,
-                    call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    ),
-                ));
+                in_flight.push((call_idx, self.launch(&addr, &call.routine, args)));
             }
             for (call_idx, pending) in in_flight {
-                let results = pending.wait()?;
+                let results = pending.and_then(AsyncCall::wait)?;
                 let call = &tx.calls()[call_idx];
                 if results.len() < call.outputs.iter().filter(|o| o.is_some()).count() {
                     return Err(ProtocolError::Remote(format!(
@@ -277,7 +278,8 @@ impl Metaserver {
         let mut slots: Vec<Option<Value>> = vec![None; tx.slot_count()];
 
         for level in levels {
-            let mut in_flight: Vec<(usize, usize, AsyncCall)> = Vec::with_capacity(level.len());
+            let mut in_flight: Vec<(usize, usize, ProtocolResult<AsyncCall>)> =
+                Vec::with_capacity(level.len());
             for &call_idx in &level {
                 let call = &tx.calls()[call_idx];
                 let args = resolve_args(call, &slots)?;
@@ -287,23 +289,11 @@ impl Metaserver {
                     flops: bytes * 100.0,
                 });
                 let addr = self.directory.entries()[sidx].addr.clone();
-                in_flight.push((
-                    call_idx,
-                    sidx,
-                    call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    ),
-                ));
+                in_flight.push((call_idx, sidx, self.launch(&addr, &call.routine, args)));
             }
             for (call_idx, first_server, pending) in in_flight {
                 let call = &tx.calls()[call_idx];
-                let mut outcome = pending.wait();
+                let mut outcome = pending.and_then(AsyncCall::wait);
                 match &outcome {
                     Ok(_) => self.directory.record_success(first_server),
                     Err(_) => {
@@ -333,16 +323,9 @@ impl Metaserver {
                     // are still intact).
                     let args = resolve_args(call, &slots)?;
                     let addr = self.directory.entries()[sidx].addr.clone();
-                    outcome = call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    )
-                    .wait();
+                    outcome = self
+                        .leg(&addr, None)
+                        .and_then(|mut client| client.ninf_call(&call.routine, &args));
                     match &outcome {
                         Ok(_) => self.directory.record_success(sidx),
                         Err(_) => {

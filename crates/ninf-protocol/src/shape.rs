@@ -25,7 +25,7 @@
 //! event mapping.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -353,7 +353,10 @@ pub struct ShapedTransport<T: Transport> {
     inner: T,
     link: Arc<SharedLink>,
     lane: u32,
-    op: u64,
+    /// Next send's op number on this lane; shared with any connection
+    /// this one replaces or is replaced by (see
+    /// [`ShapedTransport::continuing`]).
+    op: Arc<AtomicU64>,
     stats: ShapeStats,
 }
 
@@ -362,12 +365,20 @@ impl<T: Transport> ShapedTransport<T> {
     /// caller-assigned so schedules stay deterministic however threads
     /// race; a parallel uploader gives worker `w` lane `w`.
     pub fn new(inner: T, link: Arc<SharedLink>, lane: u32) -> Self {
+        Self::continuing(inner, link, lane, Arc::default())
+    }
+
+    /// [`ShapedTransport::new`], drawing op numbers from `cursor`: a
+    /// connection that replaces an earlier one on the same lane (a
+    /// redial) passes the earlier one's cursor, so its sends continue the
+    /// lane's loss schedule instead of replaying it from op 0.
+    pub fn continuing(inner: T, link: Arc<SharedLink>, lane: u32, cursor: Arc<AtomicU64>) -> Self {
         link.lanes.fetch_add(1, Ordering::Relaxed);
         Self {
             inner,
             link,
             lane,
-            op: 0,
+            op: cursor,
             stats: ShapeStats::default(),
         }
     }
@@ -393,8 +404,8 @@ impl<T: Transport> ShapedTransport<T> {
     fn shape_send(&mut self, len: usize) -> ShapeKind {
         let shape = self.link.shape();
         let lanes = self.link.lanes().max(1);
-        let kind = planned_shape(&shape, self.lane, lanes, self.op);
-        self.op += 1;
+        let op = self.op.fetch_add(1, Ordering::Relaxed);
+        let kind = planned_shape(&shape, self.lane, lanes, op);
         self.link.transmit(len);
         self.stats.bytes += len as u64;
         match kind {
@@ -648,6 +659,34 @@ mod tests {
         assert_eq!(observed, shape_schedule(&shape, 0, 1, 64));
         assert!(observed.contains(&ShapeKind::Lose));
         assert!(observed.contains(&ShapeKind::Forward));
+    }
+
+    #[test]
+    fn a_replacement_connection_continues_the_lane_schedule() {
+        let shape = LinkShape {
+            loss_ppm: 300_000,
+            seed: 31,
+            ..LinkShape::default()
+        };
+        let link = Arc::new(SharedLink::new(shape));
+        let cursor = Arc::new(AtomicU64::new(0));
+        let mut lost = Vec::new();
+        // Two connections of 32 sends each on one lane, the second
+        // replacing the first as a redial would.
+        for _ in 0..2 {
+            let mut shaped = ShapedTransport::continuing(Sink, link.clone(), 0, cursor.clone());
+            for _ in 0..32 {
+                shaped.send(&Message::QueryLoad).unwrap();
+            }
+            lost.push(shaped.stats().lost);
+        }
+        let schedule = shape_schedule(&shape, 0, 1, 64);
+        let lost_in = |ops: &[ShapeKind]| ops.iter().filter(|k| **k == ShapeKind::Lose).count();
+        assert_eq!(lost[0] as usize, lost_in(&schedule[..32]));
+        assert_eq!(lost[1] as usize, lost_in(&schedule[32..]));
+        // The halves differ, so a replay from op 0 would have shown.
+        assert_ne!(lost_in(&schedule[..32]), lost_in(&schedule[32..]));
+        assert_eq!(cursor.load(Ordering::Relaxed), 64);
     }
 
     #[test]

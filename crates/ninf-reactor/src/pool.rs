@@ -7,7 +7,7 @@
 //! a stream failure transparently lands on a fresh connection.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use ninf_obs::metrics::{Counter, MetricsRegistry};
@@ -42,9 +42,20 @@ pub struct Checkout {
     pub reused: bool,
 }
 
+/// One address's pooled streams, plus whether a checkout is dialing a new
+/// one right now.
+#[derive(Default)]
+struct AddrStreams {
+    live: Vec<Arc<MuxStream>>,
+    dialing: bool,
+}
+
 /// Shared pool of multiplexed streams, keyed by server address.
 pub struct MuxPool {
-    streams: Mutex<HashMap<String, Vec<Arc<MuxStream>>>>,
+    streams: Mutex<HashMap<String, AddrStreams>>,
+    /// Signalled whenever a dial finishes (or fails), waking checkouts
+    /// that were waiting on it.
+    dialed: Condvar,
     config: PoolConfig,
     hits: Counter,
     misses: Counter,
@@ -59,43 +70,58 @@ impl Default for MuxPool {
 impl MuxPool {
     /// Pool with standalone hit/miss counters.
     pub fn new(config: PoolConfig) -> Self {
-        MuxPool {
-            streams: Mutex::new(HashMap::new()),
-            config,
-            hits: Counter::default(),
-            misses: Counter::default(),
-        }
+        Self::with_counters(config, Counter::default(), Counter::default())
     }
 
     /// Pool whose hit/miss counters live in `registry` as
     /// `ninf_client_pool_hits_total` / `ninf_client_pool_misses_total`.
     pub fn with_metrics(config: PoolConfig, registry: &MetricsRegistry) -> Self {
-        MuxPool {
-            streams: Mutex::new(HashMap::new()),
+        Self::with_counters(
             config,
-            hits: registry.counter(
+            registry.counter(
                 "ninf_client_pool_hits_total",
                 "Checkouts served by an already-open multiplexed stream",
             ),
-            misses: registry.counter(
+            registry.counter(
                 "ninf_client_pool_misses_total",
                 "Checkouts that had to dial a new connection",
             ),
+        )
+    }
+
+    fn with_counters(config: PoolConfig, hits: Counter, misses: Counter) -> Self {
+        MuxPool {
+            streams: Mutex::new(HashMap::new()),
+            dialed: Condvar::new(),
+            config,
+            hits,
+            misses,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, AddrStreams>> {
+        self.streams.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Check out a handle for `addr`, dialing (with `deadline`) on a miss.
+    ///
+    /// Dials are single-flight per address: a checkout that misses while
+    /// another is dialing the same address waits for that dial and then
+    /// decides again, normally reusing the new stream. So at most
+    /// `max_streams_per_addr` streams are ever open to one address. The
+    /// dial itself runs outside the lock, so a slow connect never blocks
+    /// checkouts to other addresses.
     pub fn checkout(&self, addr: &str, deadline: Option<Duration>) -> ProtocolResult<Checkout> {
-        {
-            let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-            let list = map.entry(addr.to_string()).or_default();
+        let mut map = self.lock();
+        loop {
+            let entry = map.entry(addr.to_string()).or_default();
             // Evict streams poisoned since the last checkout.
-            list.retain(|s| !s.is_dead());
+            entry.live.retain(|s| !s.is_dead());
             // Reuse the least-loaded live stream unless every one is at its
             // admission bound and there is still dial budget.
-            if let Some(best) = list.iter().min_by_key(|s| s.inflight()) {
+            if let Some(best) = entry.live.iter().min_by_key(|s| s.inflight()) {
                 let saturated = best.inflight() >= self.config.max_inflight_per_stream;
-                if !saturated || list.len() >= self.config.max_streams_per_addr {
+                if !saturated || entry.live.len() >= self.config.max_streams_per_addr {
                     self.hits.inc();
                     return Ok(Checkout {
                         handle: best.handle(),
@@ -103,18 +129,22 @@ impl MuxPool {
                     });
                 }
             }
+            if !entry.dialing {
+                entry.dialing = true;
+                break;
+            }
+            map = self.dialed.wait(map).unwrap_or_else(|e| e.into_inner());
         }
-        // Dial outside the lock: a slow connect must not block checkouts to
-        // other addresses. A concurrent dial to the same address may race
-        // past `max_streams_per_addr` by one — the cap is a target, not an
-        // invariant.
-        let stream = MuxStream::connect(addr, deadline, self.config.max_inflight_per_stream)?;
+        drop(map);
+        let dialed = MuxStream::connect(addr, deadline, self.config.max_inflight_per_stream);
+        let mut map = self.lock();
+        let entry = map.entry(addr.to_string()).or_default();
+        entry.dialing = false;
+        self.dialed.notify_all();
+        let stream = dialed?;
         self.misses.inc();
         let handle = stream.handle();
-        let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(addr.to_string())
-            .or_default()
-            .push(Arc::new(stream));
+        entry.live.push(Arc::new(stream));
         Ok(Checkout {
             handle,
             reused: false,
@@ -133,18 +163,15 @@ impl MuxPool {
 
     /// Live streams currently pooled for `addr`.
     pub fn open_streams(&self, addr: &str) -> usize {
-        let map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(addr)
-            .map(|l| l.iter().filter(|s| !s.is_dead()).count())
+        self.lock()
+            .get(addr)
+            .map(|e| e.live.iter().filter(|s| !s.is_dead()).count())
             .unwrap_or(0)
     }
 
     /// Drop every pooled stream (closing the sockets).
     pub fn clear(&self) {
-        self.streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.lock().clear();
     }
 }
 
@@ -233,6 +260,31 @@ mod tests {
         assert!(!fresh.reused, "poisoned stream must not be handed out");
         ping(&mut fresh.handle);
         assert_eq!(pool.misses(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn concurrent_misses_share_one_dial() {
+        let server = echo_server();
+        let addr = server.local_addr().to_string();
+        let pool = StdArc::new(MuxPool::new(PoolConfig::default()));
+        let start = StdArc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let (pool, addr, start) = (pool.clone(), addr.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut co = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
+                    ping(&mut co.handle);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(pool.misses(), 1, "one dial serves every concurrent miss");
+        assert_eq!(pool.hits(), 7);
+        assert_eq!(pool.open_streams(&addr), 1);
         server.shutdown();
     }
 

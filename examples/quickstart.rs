@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use ninf::client::{call_async, NinfClient};
+use ninf::client::NinfClient;
 use ninf::protocol::Value;
 use ninf::server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
@@ -72,9 +72,12 @@ fn main() {
         8 * n * n + 20 * n
     );
 
-    // --- Ninf_call_async: overlap two EP batches.
-    let ep1 = call_async(addr.clone(), "ep".into(), vec![Value::Int(18)]);
-    let ep2 = call_async(addr.clone(), "ep".into(), vec![Value::Int(18)]);
+    // --- Ninf_call_async: overlap two EP batches, each on its own client.
+    let async_ep = || {
+        let client = NinfClient::connect(&addr).expect("connect");
+        client.ninf_call_async("ep", vec![Value::Int(18)])
+    };
+    let (ep1, ep2) = (async_ep(), async_ep());
     let (r1, r2) = (ep1.wait().expect("ep1"), ep2.wait().expect("ep2"));
     let Value::DoubleArray(counts1) = &r1[1] else {
         unreachable!()

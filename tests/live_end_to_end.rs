@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use ninf::client::{call_async, CallOptions, NinfClient, Transaction, TxArg};
+use ninf::client::{CallOptions, NinfClient, Transaction, TxArg};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry, QUARANTINE_THRESHOLD};
 use ninf::protocol::{
     FaultPlan, FaultyTransport, Message, ProtocolError, TcpTransport, Transport, Value,
@@ -130,7 +130,11 @@ fn async_calls_overlap_and_join() {
     let server = start_server(4, ExecMode::TaskParallel);
     let addr = server.addr().to_string();
     let pending: Vec<_> = (0..4)
-        .map(|_| call_async(addr.clone(), "ep".into(), vec![Value::Int(12)]))
+        .map(|_| {
+            NinfClient::connect(&addr)
+                .unwrap()
+                .ninf_call_async("ep", vec![Value::Int(12)])
+        })
         .collect();
     for call in pending {
         let out = call.wait().unwrap();
@@ -492,16 +496,15 @@ fn server_death_mid_call_yields_typed_error_not_hang() {
     assert!(start.elapsed() < Duration::from_secs(2));
 }
 
-#[test]
-fn client_retries_reach_a_late_starting_server() {
-    // The server comes up only after the first attempts have failed: the
-    // retry/backoff policy dials fresh connections until one lands.
+/// Reserve a free loopback port and start a server on it after `delay`,
+/// so clients dialing it meanwhile are refused.
+fn start_server_late(delay: Duration) -> (String, std::thread::JoinHandle<NinfServer>) {
     let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = probe.local_addr().unwrap().to_string();
     drop(probe); // free the port for the late server
     let addr2 = addr.clone();
     let starter = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(250));
+        std::thread::sleep(delay);
         let mut registry = Registry::new();
         register_stdlib(&mut registry, false);
         NinfServer::start(
@@ -516,19 +519,45 @@ fn client_retries_reach_a_late_starting_server() {
         )
         .expect("late server starts")
     });
-    let out = ninf::client::call_with_options(
-        &addr,
-        "ep",
-        &[Value::Int(8)],
-        CallOptions {
-            deadline: Some(Duration::from_secs(2)),
-            retries: 40,
-            backoff: Duration::from_millis(25),
-            ..CallOptions::default()
-        },
-    )
-    .unwrap();
+    (addr, starter)
+}
+
+fn late_server_options() -> CallOptions {
+    CallOptions {
+        deadline: Some(Duration::from_secs(2)),
+        retries: 40,
+        backoff: Duration::from_millis(25),
+        ..CallOptions::default()
+    }
+}
+
+#[test]
+fn client_retries_reach_a_late_starting_server() {
+    // The server comes up only after the first dials were refused: the
+    // client's retry loop owns the first dial too, redialing with backoff
+    // until one lands.
+    let (addr, starter) = start_server_late(Duration::from_millis(250));
+    let mut client = NinfClient::connect_with(&addr, late_server_options()).unwrap();
+    let out = client.ninf_call("ep", &[Value::Int(8)]).unwrap();
     assert_eq!(out.len(), 2);
+    starter.join().unwrap().shutdown();
+}
+
+#[test]
+fn pooled_client_retries_reach_a_late_starting_server() {
+    // The pooled twin: a refused first checkout is retried under the same
+    // policy, then the call rides the stream that checkout dialed.
+    let (addr, starter) = start_server_late(Duration::from_millis(250));
+    let pool = std::sync::Arc::new(ninf_reactor::MuxPool::default());
+    let mut client =
+        NinfClient::connect_pooled(&addr, late_server_options(), pool.clone()).unwrap();
+    let out = client.ninf_call("ep", &[Value::Int(8)]).unwrap();
+    assert_eq!(out.len(), 2);
+    assert_eq!(
+        pool.misses(),
+        1,
+        "only the successful dial counts as a miss"
+    );
     starter.join().unwrap().shutdown();
 }
 
